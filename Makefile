@@ -17,8 +17,13 @@ vet:
 ermia-vet:
 	$(GO) run ./cmd/ermia-vet ./...
 
+# The packages with real concurrency; scripts/check.sh runs the same list.
+RACE_PKGS = ./internal/core/ ./internal/wal/ ./internal/epoch/ \
+	./internal/engine/ ./internal/server/ ./internal/client/ ./internal/repl/ \
+	./internal/faultconn/ ./internal/query/ ./internal/shard/
+
 race:
-	$(GO) test -race -short -count=1 ./internal/core/ ./internal/wal/ ./internal/epoch/
+	$(GO) test -race -short -count=1 $(RACE_PKGS)
 
 # The full local gate: vet + ermia-vet + build + test + short race pass.
 check:

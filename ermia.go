@@ -291,7 +291,7 @@ type Server = server.Server
 type ServerConfig = server.Config
 
 // ServerStats is the server's counter snapshot (also served remotely via
-// Client.Stats).
+// Client.ServerStats).
 type ServerStats = server.StatsSnapshot
 
 // Durability selects what a positive Commit acknowledgment promises.

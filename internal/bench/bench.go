@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"ermia/internal/engine"
 	"ermia/internal/xrand"
 )
 
@@ -228,7 +229,9 @@ func Run(opts Options) Result {
 					ks.record(lat, outcomeCommit)
 				case isUser(err):
 					ks.record(lat, outcomeUser)
-				case isRetryable(err):
+				case engine.Classify(err) == engine.OutcomeConflict:
+					// Only conflicts count as aborts; availability and
+					// fatal errors stop the worker and surface.
 					ks.record(lat, outcomeAbort)
 				default:
 					results[id] = workerResult{kinds: kinds,

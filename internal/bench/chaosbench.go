@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"ermia/internal/nemesis"
 )
@@ -90,16 +88,5 @@ func ChaosBench(p Params) error {
 		}
 		return fmt.Errorf("bench: chaos found %d invariant violations", len(report.Violations))
 	}
-
-	if p.JSONPath != "" {
-		blob, err := json.MarshalIndent(&report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(p.JSONPath, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		p.printf("# wrote %s\n", p.JSONPath)
-	}
-	return nil
+	return p.writeReport(&report)
 }

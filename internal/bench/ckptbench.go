@@ -1,16 +1,13 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"net"
 	"os"
 	"strings"
 	"time"
 
 	"ermia/internal/core"
 	"ermia/internal/engine"
-	"ermia/internal/repl"
 	"ermia/internal/server"
 	"ermia/internal/wal"
 )
@@ -60,35 +57,55 @@ type CkptBenchReport struct {
 	Bootstrap CkptBootstrap `json:"bootstrap"`
 }
 
-// ckptBenchCfg: segments small enough that every phase seals several, so
+// ckptWAL: segments small enough that every phase seals several, so
 // truncation has something to unlink.
-func ckptBenchCfg(st wal.Storage) core.Config {
-	return core.Config{WAL: wal.Config{SegmentSize: 256 << 10, BufferSize: 64 << 10, Storage: st}}
+var ckptWAL = wal.Config{SegmentSize: 256 << 10, BufferSize: 64 << 10}
+
+// withCkptDB opens (core.Open) or recovers (core.Recover) the DB logging
+// into dir, hands it to fn, and closes it.
+func withCkptDB(dir string, open func(core.Config) (*core.DB, error), fn func(*core.DB) error) error {
+	st, err := wal.NewDirStorage(dir)
+	if err != nil {
+		return err
+	}
+	cfg := ckptWAL
+	cfg.Storage = st
+	return using(open(core.Config{WAL: cfg}))(fn)
 }
 
-// storageLogBytes sums the sizes of the log segment files in st.
-func storageLogBytes(st wal.Storage) (uint64, error) {
+// ckptRecoveryPoint measures the log size in dir and how long a recovery
+// from it takes.
+func ckptRecoveryPoint(dir string, round int) (CkptRecoveryPoint, error) {
+	pt := CkptRecoveryPoint{Round: round}
+	st, err := wal.NewDirStorage(dir)
+	if err != nil {
+		return pt, err
+	}
 	names, err := st.List()
 	if err != nil {
-		return 0, err
+		return pt, err
 	}
-	var total uint64
 	for _, n := range names {
 		if !strings.HasPrefix(n, "log-") {
 			continue
 		}
 		f, err := st.Open(n)
 		if err != nil {
-			return 0, err
+			return pt, err
 		}
 		size, err := f.Size()
 		f.Close()
 		if err != nil {
-			return 0, err
+			return pt, err
 		}
-		total += uint64(size)
+		pt.LogBytes += uint64(size)
 	}
-	return total, nil
+	start := time.Now()
+	err = withCkptDB(dir, core.Recover, func(*core.DB) error {
+		pt.RecoverMicros = time.Since(start).Microseconds()
+		return nil
+	})
+	return pt, err
 }
 
 // ckptOverwrite upserts rows r0..r(n-1), eight per transaction.
@@ -116,104 +133,50 @@ func ckptOverwrite(db *core.DB, tbl engine.Table, round, n int) error {
 	return db.WaitDurable()
 }
 
-// timedRecover recovers a DB from dir-backed storage and returns the elapsed
-// wall time; the DB is closed again immediately.
-func timedRecover(dir string) (time.Duration, error) {
-	st, err := wal.NewDirStorage(dir)
-	if err != nil {
-		return 0, err
-	}
-	start := time.Now()
-	db, err := core.Recover(ckptBenchCfg(st))
-	if err != nil {
-		return 0, err
-	}
-	elapsed := time.Since(start)
-	db.Close()
-	return elapsed, nil
-}
-
 // ckptRecoveryPhase measures recovery time as the log grows over rounds of
 // overwrites of a constant row set, then after checkpoint + truncation.
 func (p *Params) ckptRecoveryPhase(dir string, rows, rounds int, report *CkptBenchReport) error {
 	for round := 0; round < rounds; round++ {
-		st, err := wal.NewDirStorage(dir)
-		if err != nil {
-			return err
-		}
-		var db *core.DB
+		open := core.Recover
 		if round == 0 {
-			db, err = core.Open(ckptBenchCfg(st))
-		} else {
-			db, err = core.Recover(ckptBenchCfg(st))
+			open = core.Open
 		}
+		err := withCkptDB(dir, open, func(db *core.DB) error {
+			tbl := db.OpenTable("bench")
+			if tbl == nil {
+				tbl = db.CreateTable("bench")
+			}
+			return ckptOverwrite(db, tbl, round, rows)
+		})
 		if err != nil {
 			return err
 		}
-		tbl := db.OpenTable("bench")
-		if tbl == nil {
-			tbl = db.CreateTable("bench")
-		}
-		if err := ckptOverwrite(db, tbl, round, rows); err != nil {
-			db.Close()
-			return err
-		}
-		db.Close()
-
-		st2, err := wal.NewDirStorage(dir)
+		pt, err := ckptRecoveryPoint(dir, round)
 		if err != nil {
 			return err
 		}
-		logBytes, err := storageLogBytes(st2)
-		if err != nil {
-			return err
-		}
-		elapsed, err := timedRecover(dir)
-		if err != nil {
-			return err
-		}
-		pt := CkptRecoveryPoint{Round: round, LogBytes: logBytes, RecoverMicros: elapsed.Microseconds()}
 		report.Points = append(report.Points, pt)
 		p.printf("%-10d %14d %14d\n", pt.Round, pt.LogBytes, pt.RecoverMicros)
 	}
 
 	// Checkpoint + truncate the accumulated history, then measure again: the
 	// replayable suffix is now proportional to the data, not the history.
-	st, err := wal.NewDirStorage(dir)
+	err := withCkptDB(dir, core.Recover, func(db *core.DB) error {
+		if err := db.Checkpoint(); err != nil {
+			return err
+		}
+		removed, err := db.TruncateLog()
+		report.SegmentsFreed = len(removed)
+		return err
+	})
 	if err != nil {
 		return err
 	}
-	db, err := core.Recover(ckptBenchCfg(st))
-	if err != nil {
+	if report.AfterTruncate, err = ckptRecoveryPoint(dir, rounds); err != nil {
 		return err
 	}
-	if err := db.Checkpoint(); err != nil {
-		db.Close()
-		return err
-	}
-	removed, err := db.TruncateLog()
-	if err != nil {
-		db.Close()
-		return err
-	}
-	db.Close()
-	report.SegmentsFreed = len(removed)
-
-	st2, err := wal.NewDirStorage(dir)
-	if err != nil {
-		return err
-	}
-	logBytes, err := storageLogBytes(st2)
-	if err != nil {
-		return err
-	}
-	elapsed, err := timedRecover(dir)
-	if err != nil {
-		return err
-	}
-	report.AfterTruncate = CkptRecoveryPoint{Round: rounds, LogBytes: logBytes, RecoverMicros: elapsed.Microseconds()}
 	p.printf("%-10s %14d %14d   (%d segments freed)\n",
-		"truncated", logBytes, report.AfterTruncate.RecoverMicros, len(removed))
+		"truncated", report.AfterTruncate.LogBytes, report.AfterTruncate.RecoverMicros, report.SegmentsFreed)
 	return nil
 }
 
@@ -221,69 +184,27 @@ func (p *Params) ckptRecoveryPhase(dir string, rows, rounds int, report *CkptBen
 // a scratch replica mirrors the full log; after checkpoint + truncation a
 // second replica seeds from the image and mirrors only the suffix.
 func (p *Params) ckptBootstrapPhase(dir string, rows int, report *CkptBenchReport) error {
-	primarySt, err := wal.NewDirStorage(dir + "/primary")
+	lp, err := startPrimary(dir+"/primary", ckptWAL, server.Config{})
 	if err != nil {
 		return err
 	}
-	db, err := core.Open(ckptBenchCfg(primarySt))
-	if err != nil {
-		return err
-	}
-	defer db.Close()
-	srv, err := server.New(server.Config{DB: db})
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	go srv.Serve(ln)
-	addr := ln.Addr().String()
-
+	defer lp.Close()
+	db := lp.db
 	tbl := db.CreateTable("bench")
 	if err := ckptOverwrite(db, tbl, 0, rows); err != nil {
 		return err
 	}
 
-	startReplica := func(subdir string) (*repl.Replica, error) {
-		st, err := wal.NewDirStorage(dir + "/" + subdir)
-		if err != nil {
-			return nil, err
-		}
-		return repl.Start(repl.Config{
-			PrimaryAddr:    addr,
-			ReconnectDelay: 10 * time.Millisecond,
-			Core:           core.Config{WAL: wal.Config{Storage: st}},
-		})
-	}
-	catchup := func(r *repl.Replica) (time.Duration, error) {
-		start := time.Now()
-		target := db.DurableOffset()
-		for r.Watermark() < target {
-			if err := r.Err(); err != nil {
-				return 0, fmt.Errorf("replica stream failed: %w", err)
-			}
-			if time.Since(start) > 60*time.Second {
-				return 0, fmt.Errorf("replica never caught up: watermark %#x, durable %#x", r.Watermark(), target)
-			}
-			time.Sleep(time.Millisecond)
-		}
-		return time.Since(start), nil
-	}
-
-	scratch, err := startReplica("scratch")
+	scratch, err := lp.startReplica(dir + "/scratch")
 	if err != nil {
 		return err
 	}
 	defer scratch.Close()
-	elapsed, err := catchup(scratch)
+	elapsed, err := lp.awaitReplica(scratch)
 	if err != nil {
 		return err
 	}
-	ss := scratch.Stats()
-	report.Bootstrap.ScratchLogBytes = ss.Bytes
+	report.Bootstrap.ScratchLogBytes = scratch.Stats().Bytes
 	report.Bootstrap.ScratchCatchupMicros = elapsed.Microseconds()
 
 	if err := db.Checkpoint(); err != nil {
@@ -297,16 +218,16 @@ func (p *Params) ckptBootstrapPhase(dir string, rows int, report *CkptBenchRepor
 	if err := ckptOverwrite(db, tbl, 1, rows/10); err != nil {
 		return err
 	}
-	if elapsed, err = catchup(scratch); err != nil {
+	if _, err = lp.awaitReplica(scratch); err != nil {
 		return err
 	}
 
-	seeded, err := startReplica("seeded")
+	seeded, err := lp.startReplica(dir + "/seeded")
 	if err != nil {
 		return err
 	}
 	defer seeded.Close()
-	if elapsed, err = catchup(seeded); err != nil {
+	if elapsed, err = lp.awaitReplica(seeded); err != nil {
 		return err
 	}
 	rs := seeded.Stats()
@@ -360,16 +281,5 @@ func CkptBench(p Params) error {
 	p.printf("# recovery after truncation: %dus over %dB of log (vs %dus over %dB untruncated)\n",
 		report.AfterTruncate.RecoverMicros, report.AfterTruncate.LogBytes,
 		last.RecoverMicros, last.LogBytes)
-
-	if p.JSONPath != "" {
-		blob, err := json.MarshalIndent(&report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(p.JSONPath, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		p.printf("# wrote %s\n", p.JSONPath)
-	}
-	return nil
+	return p.writeReport(&report)
 }

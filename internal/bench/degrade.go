@@ -37,8 +37,6 @@ type DegradeTarget struct {
 	Health func(db engine.DB) engine.HealthStatus
 	// Reattach re-attaches the log after the device heals.
 	Reattach func(db engine.DB) error
-	// Close shuts the DB down.
-	Close func(db engine.DB) error
 	// Recover reopens a DB from the durable crash image for the audit.
 	Recover func(st wal.Storage) (engine.DB, error)
 }
@@ -63,7 +61,6 @@ func CoreDegradeTarget() DegradeTarget {
 			}
 			return err
 		},
-		Close:   func(db engine.DB) error { return db.(*core.DB).Close() },
 		Recover: func(st wal.Storage) (engine.DB, error) { return core.Recover(cfg(st)) },
 	}
 }
@@ -83,7 +80,6 @@ func SiloDegradeTarget() DegradeTarget {
 			_, err := db.(*silo.DB).Reattach(nil)
 			return err
 		},
-		Close:   func(db engine.DB) error { return db.(*silo.DB).Close() },
 		Recover: func(st wal.Storage) (engine.DB, error) { return silo.Recover(cfg(st)) },
 	}
 }
@@ -141,7 +137,7 @@ func DegradeSweep(tgt DegradeTarget, opts DegradeOptions) (DegradeResult, error)
 	if err != nil {
 		return res, fmt.Errorf("%s: open: %w", tgt.Name, err)
 	}
-	defer tgt.Close(db)
+	defer db.Close()
 	tbl := db.CreateTable("kv")
 
 	// model holds every acknowledged committed write; keys orders it so the
@@ -280,14 +276,14 @@ func DegradeSweep(tgt DegradeTarget, opts DegradeOptions) (DegradeResult, error)
 
 	// Audit: crash, recover from the durable image, and demand every
 	// acknowledged commit — the committed prefix — be present and current.
-	if err := tgt.Close(db); err != nil {
+	if err := db.Close(); err != nil {
 		return res, fmt.Errorf("%s: close: %w", tgt.Name, err)
 	}
 	rdb, err := tgt.Recover(inner.Crash())
 	if err != nil {
 		return res, fmt.Errorf("%s: audit recovery: %w", tgt.Name, err)
 	}
-	defer tgt.Close(rdb)
+	defer rdb.Close()
 	rtbl := rdb.OpenTable("kv")
 	if rtbl == nil {
 		return res, fmt.Errorf("%s: audit: table missing after recovery", tgt.Name)

@@ -1,16 +1,11 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"net"
 	"os"
 
-	"ermia/internal/client"
-	"ermia/internal/core"
 	"ermia/internal/server"
 	"ermia/internal/wal"
-	"ermia/internal/xrand"
 )
 
 // ServerPoint is one cell of the network throughput grid: a durability
@@ -48,56 +43,22 @@ type ServerBenchReport struct {
 // disjoint keys (no CC conflicts, so the commit/durability path dominates).
 func (p *Params) serverPoint(dir string, mode server.Durability, clients, depth int) (ServerPoint, error) {
 	pt := ServerPoint{Mode: mode.String(), Clients: clients, Depth: depth}
-	st, err := wal.NewDirStorage(dir)
-	if err != nil {
-		return pt, err
-	}
-	db, err := core.Open(core.Config{
-		WAL: wal.Config{SegmentSize: 64 << 20, BufferSize: 8 << 20, Storage: st},
-	})
-	if err != nil {
-		return pt, err
-	}
-	defer db.Close()
-
 	workers := clients * depth
-	srv, err := server.New(server.Config{DB: db, Durability: mode, Workers: workers + 1, MaxConns: clients + 1})
+	lp, err := startPrimary(dir, wal.Config{SegmentSize: 64 << 20, BufferSize: 8 << 20},
+		server.Config{Durability: mode, Workers: workers + 1, MaxConns: clients + 1})
 	if err != nil {
 		return pt, err
 	}
-	defer srv.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return pt, err
-	}
-	go srv.Serve(ln)
-
-	c, err := client.Dial(client.Options{Addr: ln.Addr().String(), PoolSize: clients})
+	defer lp.Close()
+	c, err := lp.dial(clients)
 	if err != nil {
 		return pt, err
 	}
 	defer c.Close()
-	tbl := c.CreateTable("bench")
-	value := make([]byte, 100)
 
-	// Workers are pinned worker→connection worker%clients, so each
-	// connection carries exactly depth concurrent transactions: that is the
-	// pipelining level the point is measuring.
-	seq := make([]uint64, workers)
-	res := Run(Options{
-		Workers:  workers,
-		Duration: p.Duration,
-		Exec: func(worker int, rng *xrand.Rand) (string, error) {
-			seq[worker]++
-			key := fmt.Sprintf("w%03d-%012d", worker, seq[worker])
-			txn := c.Begin(worker)
-			if err := txn.Insert(tbl, []byte(key), value); err != nil {
-				txn.Abort()
-				return "insert", err
-			}
-			return "insert", txn.Commit()
-		},
-	})
+	// Each connection carries exactly depth concurrent transactions: that
+	// is the pipelining level the point is measuring.
+	res := Run(Options{Workers: workers, Duration: p.Duration, Exec: insertExec(c, workers)})
 	if res.Err != nil {
 		return pt, res.Err
 	}
@@ -108,7 +69,7 @@ func (p *Params) serverPoint(dir string, mode server.Durability, clients, depth 
 	pt.Commits = ks.Commits
 	pt.Aborts = ks.Aborts
 	if mode == server.DurabilityGroup {
-		pt.Batches = srv.Stats().GroupBatches
+		pt.Batches = lp.srv.Stats().GroupBatches
 	}
 	return pt, nil
 }
@@ -166,16 +127,5 @@ func ServerBench(p Params) error {
 		}
 	}
 	p.printf("# group commit best speedup over per-commit sync: %.2fx\n", report.SpeedupMax)
-
-	if p.JSONPath != "" {
-		blob, err := json.MarshalIndent(&report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(p.JSONPath, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		p.printf("# wrote %s\n", p.JSONPath)
-	}
-	return nil
+	return p.writeReport(&report)
 }

@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -292,19 +290,20 @@ func QueryBench(p Params) error {
 		latencyRuns = 5
 	}
 
-	db, err := OpenEngine(EngERMIASI)
-	if err != nil {
-		return err
-	}
-	defer db.Close()
-	cfg := p.tpccConfig(warehouses, 10, tpcc.AccessHome)
+	cfg := p.tpccConfig(warehouses, tpcc.AccessHome)
 	if !p.Full {
 		// Small districts keep the quick-mode analytical scans at tens of
 		// milliseconds so every phase completes quickly; full mode uses the
 		// standard quick-bench cardinality.
 		cfg.CustomersPerDistrict = 60
 	}
-	if err := loadTPCC(db, cfg); err != nil {
+	w := tpccWorkload(cfg)
+	db, err := OpenEngine(EngERMIASI)
+	if err != nil {
+		return err
+	}
+	defer db.Close()
+	if err := w.load(db); err != nil {
 		return err
 	}
 
@@ -347,7 +346,7 @@ func QueryBench(p Params) error {
 			for half := 0; half < 2; half++ {
 				concurrent := (half == 0) == concFirst
 				if !concurrent {
-					res, err := sliceP.runTPCC(db, cfg, tpcc.StandardMix, p.Threads)
+					res, err := sliceP.run(db, w, 10, false, p.Threads)
 					if err != nil {
 						return fmt.Errorf("bench: query baseline slice: %w", err)
 					}
@@ -368,7 +367,7 @@ func QueryBench(p Params) error {
 				} else {
 					audited <- nil
 				}
-				res, err := sliceP.runTPCC(db, cfg, tpcc.StandardMix, p.Threads)
+				res, err := sliceP.run(db, w, 10, false, p.Threads)
 				gate.set(false)
 				gate.quiesce()
 				if err != nil {
@@ -423,16 +422,5 @@ func QueryBench(p Params) error {
 		return fmt.Errorf("bench: writer throughput dropped %.1f%% with analytics (bound %.0f%%): %.0f -> %.0f tps",
 			report.WriterDeltaPct, queryBenchAccept, report.BaselineTps, report.ConcurrentTps)
 	}
-
-	if p.JSONPath != "" {
-		blob, err := json.MarshalIndent(&report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(p.JSONPath, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		p.printf("# wrote %s\n", p.JSONPath)
-	}
-	return nil
+	return p.writeReport(&report)
 }

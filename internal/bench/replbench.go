@@ -1,19 +1,13 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"net"
 	"os"
 	"sort"
 	"time"
 
-	"ermia/internal/client"
-	"ermia/internal/core"
-	"ermia/internal/repl"
 	"ermia/internal/server"
 	"ermia/internal/wal"
-	"ermia/internal/xrand"
 )
 
 // ReplPoint is one load level of the replication experiment: a primary under
@@ -54,48 +48,22 @@ type ReplBenchReport struct {
 // single-insert commits on disjoint keys.
 func (p *Params) replPoint(dir string, writers int) (ReplPoint, error) {
 	pt := ReplPoint{Writers: writers}
-	primarySt, err := wal.NewDirStorage(dir + "/primary")
+	lp, err := startPrimary(dir+"/primary", wal.Config{SegmentSize: 64 << 20, BufferSize: 8 << 20},
+		server.Config{Workers: writers + 1, MaxConns: writers + 2})
 	if err != nil {
 		return pt, err
 	}
-	db, err := core.Open(core.Config{
-		WAL: wal.Config{SegmentSize: 64 << 20, BufferSize: 8 << 20, Storage: primarySt},
-	})
-	if err != nil {
-		return pt, err
-	}
-	defer db.Close()
-	srv, err := server.New(server.Config{DB: db, Workers: writers + 1, MaxConns: writers + 2})
-	if err != nil {
-		return pt, err
-	}
-	defer srv.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return pt, err
-	}
-	go srv.Serve(ln)
-
-	mirrorSt, err := wal.NewDirStorage(dir + "/mirror")
-	if err != nil {
-		return pt, err
-	}
-	r, err := repl.Start(repl.Config{
-		PrimaryAddr: ln.Addr().String(),
-		Core:        core.Config{WAL: wal.Config{Storage: mirrorSt}},
-	})
+	defer lp.Close()
+	r, err := lp.startReplica(dir + "/mirror")
 	if err != nil {
 		return pt, err
 	}
 	defer r.Close()
-
-	c, err := client.Dial(client.Options{Addr: ln.Addr().String(), PoolSize: writers})
+	c, err := lp.dial(writers)
 	if err != nil {
 		return pt, err
 	}
 	defer c.Close()
-	tbl := c.CreateTable("bench")
-	value := make([]byte, 100)
 
 	// Lag sampler: instantaneous staleness as the primary's durable horizon
 	// minus the replica's applied watermark, in log bytes. (Sharper than the
@@ -114,7 +82,7 @@ func (p *Params) replPoint(dir string, writers int) (ReplPoint, error) {
 				return
 			case <-tick.C:
 				var lag uint64
-				if d, w := db.DurableOffset(), r.Watermark(); d > w {
+				if d, w := lp.db.DurableOffset(), r.Watermark(); d > w {
 					lag = d - w
 				}
 				lags = append(lags, lag)
@@ -122,21 +90,7 @@ func (p *Params) replPoint(dir string, writers int) (ReplPoint, error) {
 		}
 	}()
 
-	seq := make([]uint64, writers)
-	res := Run(Options{
-		Workers:  writers,
-		Duration: p.Duration,
-		Exec: func(worker int, rng *xrand.Rand) (string, error) {
-			seq[worker]++
-			key := fmt.Sprintf("w%03d-%012d", worker, seq[worker])
-			txn := c.Begin(worker)
-			if err := txn.Insert(tbl, []byte(key), value); err != nil {
-				txn.Abort()
-				return "insert", err
-			}
-			return "insert", txn.Commit()
-		},
-	})
+	res := Run(Options{Workers: writers, Duration: p.Duration, Exec: insertExec(c, writers)})
 	close(stopSample)
 	lags := <-sampleDone
 	if res.Err != nil {
@@ -146,18 +100,11 @@ func (p *Params) replPoint(dir string, writers int) (ReplPoint, error) {
 	// Catch-up drain: writers stopped, measure how long the replica takes
 	// to reach the primary's final durable horizon.
 	drainStart := time.Now()
-	if err := db.WaitDurable(); err != nil {
+	if err := lp.db.WaitDurable(); err != nil {
 		return pt, err
 	}
-	target := db.DurableOffset()
-	for r.Watermark() < target {
-		if err := r.Err(); err != nil {
-			return pt, fmt.Errorf("replica stream failed: %w", err)
-		}
-		if time.Since(drainStart) > 30*time.Second {
-			return pt, fmt.Errorf("replica never caught up: watermark %#x, durable %#x", r.Watermark(), target)
-		}
-		time.Sleep(time.Millisecond)
+	if _, err := lp.awaitReplica(r); err != nil {
+		return pt, err
 	}
 	pt.CatchupMicros = time.Since(drainStart).Microseconds()
 
@@ -217,16 +164,5 @@ func ReplBench(p Params) error {
 	last := report.Points[len(report.Points)-1]
 	p.printf("# replica staleness at %d writers: p50 %dB, max %dB; catch-up %dus after writers stop\n",
 		last.Writers, last.LagP50Bytes, last.LagMaxBytes, last.CatchupMicros)
-
-	if p.JSONPath != "" {
-		blob, err := json.MarshalIndent(&report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(p.JSONPath, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		p.printf("# wrote %s\n", p.JSONPath)
-	}
-	return nil
+	return p.writeReport(&report)
 }

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"net"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,7 +11,6 @@ import (
 	"ermia/internal/shard"
 	"ermia/internal/tpcc"
 	"ermia/internal/wal"
-	"ermia/internal/xrand"
 )
 
 // ShardPoint is one cell of the sharding experiment: a shard count at a
@@ -190,7 +187,8 @@ type shardCluster struct {
 	sts    []*syncDelayStorage
 }
 
-func (c *shardCluster) close() {
+// Close stops the router, then every server, then every engine.
+func (c *shardCluster) Close() error {
 	if c.router != nil {
 		c.router.Close()
 	}
@@ -200,19 +198,27 @@ func (c *shardCluster) close() {
 	for _, db := range c.dbs {
 		db.Close()
 	}
+	return nil
 }
 
-func startShardCluster(shards, workers int) (*shardCluster, error) {
+func startShardCluster(shards, workers int) (_ *shardCluster, err error) {
 	cl := &shardCluster{}
+	var lns []net.Listener
+	defer func() { // on failure, undo whatever was started
+		if err != nil {
+			for _, ln := range lns[len(cl.srvs):] {
+				ln.Close()
+			}
+			cl.Close()
+		}
+	}()
 	m := &shard.Map{Version: 1, Rules: tpccShardRules()}
-	lns := make([]net.Listener, shards)
 	for i := 0; i < shards; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			cl.close()
 			return nil, err
 		}
-		lns[i] = ln
+		lns = append(lns, ln)
 		m.Shards = append(m.Shards, shard.ShardInfo{Addr: ln.Addr().String()})
 	}
 	blob := m.EncodeBinary()
@@ -224,8 +230,6 @@ func startShardCluster(shards, workers int) (*shardCluster, error) {
 			GCInterval: 50 * time.Millisecond,
 		})
 		if err != nil {
-			ln.Close()
-			cl.close()
 			return nil, err
 		}
 		cl.dbs = append(cl.dbs, db)
@@ -238,19 +242,14 @@ func startShardCluster(shards, workers int) (*shardCluster, error) {
 			ShardMapBlob:    blob,
 		})
 		if err != nil {
-			ln.Close()
-			cl.close()
 			return nil, err
 		}
 		cl.srvs = append(cl.srvs, srv)
 		go srv.Serve(ln)
 	}
-	r, err := shard.NewRouter(m, shard.Options{PoolSize: 1, VerifyShards: true})
-	if err != nil {
-		cl.close()
+	if cl.router, err = shard.NewRouter(m, shard.Options{PoolSize: 1, VerifyShards: true}); err != nil {
 		return nil, err
 	}
-	cl.router = r
 	return cl, nil
 }
 
@@ -291,81 +290,60 @@ func ShardBench(p Params) error {
 	p.printf("%-8s %-11s %12s %12s %12s %10s\n", "shards", "remote-pct", "txn/s", "fast", "cross", "cross%")
 
 	var local [2]float64
+	cfg := p.tpccConfig(warehouses, tpcc.AccessHome)
 	for si, shards := range shardCounts {
-		cl, err := startShardCluster(shards, threads)
+		err := using(startShardCluster(shards, threads))(func(cl *shardCluster) error {
+			if err := tpccWorkload(cfg).load(cl.router); err != nil {
+				return err
+			}
+			// Loading ran at memory speed; measurement pays for durability.
+			for _, st := range cl.sts {
+				st.setRate(deviceNSPerKB)
+			}
+			for _, remote := range remotePcts {
+				rcfg := cfg
+				rcfg.RemoteItemPct = remote
+				rcfg.RemotePaymentPct = remote
+				if remote == 0 {
+					rcfg.RemoteItemPct, rcfg.RemotePaymentPct = -1, -1
+				}
+				fast0, cross0 := cl.router.CommitCounts()
+				res, err := p.run(cl.router, tpccWorkload(rcfg), 10, false, threads)
+				if err != nil {
+					return err
+				}
+				fast1, cross1 := cl.router.CommitCounts()
+				pt := ShardPoint{
+					Shards:       shards,
+					RemotePct:    remote,
+					TxnPerSec:    res.Throughput(),
+					Commits:      res.TotalCommits(),
+					FastCommits:  fast1 - fast0,
+					CrossCommits: cross1 - cross0,
+				}
+				for _, k := range res.Kinds {
+					pt.Aborts += k.Aborts
+				}
+				if rw := pt.FastCommits + pt.CrossCommits; rw > 0 {
+					pt.CrossRatio = float64(pt.CrossCommits) / float64(rw)
+				}
+				report.Points = append(report.Points, pt)
+				if remote == 0 {
+					local[si] = pt.TxnPerSec
+				}
+				p.printf("%-8d %-11d %12.0f %12d %12d %9.1f%%\n",
+					shards, remote, pt.TxnPerSec, pt.FastCommits, pt.CrossCommits, 100*pt.CrossRatio)
+			}
+			return nil
+		})
 		if err != nil {
 			return err
 		}
-		cfg := p.tpccConfig(warehouses, 10, tpcc.AccessHome)
-		if err := loadTPCC(cl.router, cfg); err != nil {
-			cl.close()
-			return err
-		}
-		// Loading ran at memory speed; measurement pays for durability.
-		for _, st := range cl.sts {
-			st.setRate(deviceNSPerKB)
-		}
-		for _, remote := range remotePcts {
-			rcfg := cfg
-			rcfg.RemoteItemPct = remote
-			rcfg.RemotePaymentPct = remote
-			if remote == 0 {
-				rcfg.RemoteItemPct, rcfg.RemotePaymentPct = -1, -1
-			}
-			d := tpcc.NewDriver(cl.router, rcfg)
-			fast0, cross0 := cl.router.CommitCounts()
-			res := Run(Options{
-				Workers:  threads,
-				Duration: p.Duration,
-				Exec: func(worker int, rng *xrand.Rand) (string, error) {
-					kind := tpcc.Pick(tpcc.StandardMix, rng)
-					return kind.String(), d.Run(kind, worker, rng)
-				},
-				IsUserAbort: tpcc.IsUserAbort,
-			})
-			if res.Err != nil {
-				cl.close()
-				return res.Err
-			}
-			fast1, cross1 := cl.router.CommitCounts()
-			pt := ShardPoint{
-				Shards:       shards,
-				RemotePct:    remote,
-				TxnPerSec:    res.Throughput(),
-				Commits:      res.TotalCommits(),
-				FastCommits:  fast1 - fast0,
-				CrossCommits: cross1 - cross0,
-			}
-			for _, k := range res.Kinds {
-				pt.Aborts += k.Aborts
-			}
-			if rw := pt.FastCommits + pt.CrossCommits; rw > 0 {
-				pt.CrossRatio = float64(pt.CrossCommits) / float64(rw)
-			}
-			report.Points = append(report.Points, pt)
-			if remote == 0 {
-				local[si] = pt.TxnPerSec
-			}
-			p.printf("%-8d %-11d %12.0f %12d %12d %9.1f%%\n",
-				shards, remote, pt.TxnPerSec, pt.FastCommits, pt.CrossCommits, 100*pt.CrossRatio)
-		}
-		cl.close()
 	}
 
 	if local[0] > 0 {
 		report.LocalSpeedup = local[1] / local[0]
 	}
 	p.printf("# partition-local speedup (3 shards vs 1): %.2fx\n", report.LocalSpeedup)
-
-	if p.JSONPath != "" {
-		blob, err := json.MarshalIndent(&report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(p.JSONPath, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		p.printf("# wrote %s\n", p.JSONPath)
-	}
-	return nil
+	return p.writeReport(&report)
 }

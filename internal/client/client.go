@@ -429,31 +429,7 @@ func (c *Client) Health() (state engine.HealthState, cause string, err error) {
 }
 
 // ServerStats is the server-level counter snapshot (see server.StatsSnapshot).
-type ServerStats struct {
-	Conns         uint32
-	OpenTxns      uint32
-	Commits       uint64
-	Aborts        uint64
-	GroupBatches  uint64
-	GroupCommits  uint64
-	DurableOffset uint64
-
-	ReplSubscribers   uint32
-	ReplBatches       uint64
-	ReplShippedOffset uint64
-	ReplAckedOffset   uint64
-
-	Checkpoints uint64
-
-	ActiveQueries    uint32
-	Queries          uint64
-	QueryRows        uint64
-	QueriesCancelled uint64
-
-	PreparedTxns  uint32
-	ShardPrepares uint64
-	ShardDecides  uint64
-}
+type ServerStats = proto.ServerStats
 
 // ServerStats fetches the remote server's counters.
 func (c *Client) ServerStats() (ServerStats, error) {
@@ -469,26 +445,7 @@ func (c *Client) ServerStats() (ServerStats, error) {
 	if err := st.Err(detail); err != nil {
 		return out, err
 	}
-	out.Conns = d.U32()
-	out.OpenTxns = d.U32()
-	out.Commits = d.U64()
-	out.Aborts = d.U64()
-	out.GroupBatches = d.U64()
-	out.GroupCommits = d.U64()
-	out.DurableOffset = d.U64()
-	out.ReplSubscribers = d.U32()
-	out.ReplBatches = d.U64()
-	out.ReplShippedOffset = d.U64()
-	out.ReplAckedOffset = d.U64()
-	out.Checkpoints = d.U64()
-	out.ActiveQueries = d.U32()
-	out.Queries = d.U64()
-	out.QueryRows = d.U64()
-	out.QueriesCancelled = d.U64()
-	out.PreparedTxns = d.U32()
-	out.ShardPrepares = d.U64()
-	out.ShardDecides = d.U64()
-	return out, d.Err()
+	return proto.DecodeServerStats(d)
 }
 
 // Reattach asks the server to heal a degraded engine (admin operation); it

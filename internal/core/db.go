@@ -49,9 +49,6 @@ type Config struct {
 	// indirection arrays. Zero disables the background sweeper; call RunGC
 	// manually.
 	GCInterval time.Duration
-	// EpochInterval is the timescale of the version-GC epoch manager.
-	// Defaults to 10ms.
-	EpochInterval time.Duration
 	// Profile enables per-worker cycle accounting by component (the
 	// Figure 11 breakdown). Costs two clock reads per instrumented section.
 	Profile bool
@@ -114,10 +111,10 @@ type DB struct {
 	lastCkpt atomic.Pointer[CheckpointInfo]
 	ckptMu   sync.Mutex
 
-	gcStop        chan struct{}
-	gcDone        chan struct{}
-	closeOnce     sync.Once
-	closeErr      error
+	gcStop    chan struct{}
+	gcDone    chan struct{}
+	closeOnce sync.Once
+	closeErr  error
 
 	// Fault containment (see health.go). logGate is read-locked by every
 	// log-writing window so Reattach can take it exclusively and rebuild the
@@ -168,12 +165,6 @@ type DBStats struct {
 // Open creates a DB. Pass a wal.RecoverResult-driven flow via Recover to
 // restore existing state instead.
 func Open(cfg Config) (*DB, error) {
-	if cfg.EpochInterval == 0 {
-		cfg.EpochInterval = 10 * time.Millisecond
-	}
-	if cfg.Serializable && cfg.Isolation == SnapshotIsolation {
-		cfg.Isolation = SSN
-	}
 	log, err := wal.Open(cfg.WAL, nil)
 	if err != nil {
 		return nil, err
@@ -183,7 +174,12 @@ func Open(cfg Config) (*DB, error) {
 	return db, nil
 }
 
+// newDB builds the DB shell shared by Open and recovery. It is the one place
+// the legacy Serializable flag is folded into Isolation.
 func newDB(cfg Config, log *wal.Manager) *DB {
+	if cfg.Serializable && cfg.Isolation == SnapshotIsolation {
+		cfg.Isolation = SSN
+	}
 	db := &DB{
 		cfg:         cfg,
 		tids:        txnid.NewManager(),

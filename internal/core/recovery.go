@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 
 	"ermia/internal/mvcc"
 	"ermia/internal/wal"
@@ -43,12 +42,6 @@ func Recover(cfg Config) (*DB, error) {
 func recoverState(cfg Config, replica bool) (*DB, *wal.RecoverResult, uint64, error) {
 	if cfg.WAL.Storage == nil {
 		return nil, nil, 0, fmt.Errorf("core: recovery requires explicit WAL storage")
-	}
-	if cfg.EpochInterval == 0 {
-		cfg.EpochInterval = 10 * time.Millisecond
-	}
-	if cfg.Serializable && cfg.Isolation == SnapshotIsolation {
-		cfg.Isolation = SSN
 	}
 	st := cfg.WAL.Storage
 

@@ -56,11 +56,12 @@ type Config struct {
 	// timeout to several heartbeat intervals) so a quiet-but-alive primary
 	// is never mistaken for a dead one. Zero waits forever.
 	HeartbeatTimeout time.Duration
-	// GCEveryBlocks runs a version-GC sweep from the applier goroutine
-	// after this many applied blocks (background GC would race the
-	// applier; see core.OpenReplica). Default 4096.
-	GCEveryBlocks int
 }
+
+// gcEveryBlocks is how many applied blocks pass between version-GC sweeps
+// run from the applier goroutine (background GC would race the applier; see
+// core.OpenReplica).
+const gcEveryBlocks = 4096
 
 // Stats is a snapshot of a replica's streaming progress.
 type Stats struct {
@@ -143,9 +144,6 @@ func Start(cfg Config) (*Replica, error) {
 	}
 	if cfg.ReconnectDelay <= 0 {
 		cfg.ReconnectDelay = 100 * time.Millisecond
-	}
-	if cfg.GCEveryBlocks <= 0 {
-		cfg.GCEveryBlocks = 4096
 	}
 	if cfg.Retry.BaseDelay <= 0 {
 		cfg.Retry.BaseDelay = cfg.ReconnectDelay
@@ -283,9 +281,17 @@ func (r *Replica) seal() {
 	<-r.done
 }
 
+// setConn publishes a freshly dialed connection so seal can close it. A
+// connection dialed after seal already closed r.conn would never be closed
+// and its reader would block forever, so once stop is closed setConn closes
+// c instead of publishing it; the caller's next read then fails at once.
 func (r *Replica) setConn(c net.Conn) {
 	r.connMu.Lock()
-	r.conn = c
+	if r.stopped() {
+		c.Close()
+	} else {
+		r.conn = c
+	}
 	r.connMu.Unlock()
 }
 
@@ -717,7 +723,7 @@ func (r *Replica) applyBatch(b *proto.ReplBatch) error {
 		r.db.PublishWatermark(blk.Off + uint64(blk.Size))
 		r.blocks.Add(1)
 		r.bytes.Add(uint64(blk.Size))
-		if r.sinceGC++; r.sinceGC >= r.cfg.GCEveryBlocks {
+		if r.sinceGC++; r.sinceGC >= gcEveryBlocks {
 			// GC runs only here, on the applier goroutine, so a sweep can
 			// never race an install (see core.Applier).
 			r.db.RunGC()

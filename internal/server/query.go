@@ -20,9 +20,12 @@ import (
 // on other sessions. On a replica engine the same path serves snapshot
 // queries at the replica's replay watermark with no extra wiring.
 
-// queryChunkBytes caps one MsgQueryRow response body; the row-count cap is
-// Config.QueryChunkRows. Whichever limit is hit first ends the chunk.
-const queryChunkBytes = 256 << 10
+// queryChunkRows and queryChunkBytes cap one MsgQueryRow response body.
+// Whichever limit is hit first ends the chunk.
+const (
+	queryChunkRows  = 256
+	queryChunkBytes = 256 << 10
+)
 
 // runningQuery is one open query owned by a session's handler goroutine:
 // the pinned snapshot transaction, its worker slot, and the iterator tree.
@@ -115,11 +118,10 @@ func (s *session) handleQueryRow(req request, d *proto.Dec) {
 		return
 	}
 	rq.deadline = req.deadline
-	chunkRows := s.srv.cfg.QueryChunkRows
 	rows := make([]byte, 0, 4<<10)
 	n := 0
 	done := false
-	for n < chunkRows && len(rows) < queryChunkBytes {
+	for n < queryChunkRows && len(rows) < queryChunkBytes {
 		row, err := rq.it.Next()
 		if err != nil {
 			// The error frame carries no rows; the partial chunk is

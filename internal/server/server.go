@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"ermia/internal/engine"
+	"ermia/internal/proto"
 	"ermia/internal/query"
 	"ermia/internal/wal"
 )
@@ -84,9 +85,6 @@ type Config struct {
 	Workers int
 	// Durability selects the commit acknowledgment policy.
 	Durability Durability
-	// ScanPageSize caps key/value pairs in one Scan response page; clients
-	// page transparently. Default 1024.
-	ScanPageSize int
 	// ReattachFn, when set, serves the admin Reattach frame: heal the
 	// engine's log device and return a human-readable report (wire it to
 	// DB.Reattach). Nil refuses the frame.
@@ -131,9 +129,6 @@ type Config struct {
 	// the query with StatusQueryOverflow. A client-supplied limit can lower
 	// but never raise it. Default 1<<20.
 	QueryMaxRows int
-	// QueryChunkRows caps rows in one MsgQueryRow response chunk (the byte
-	// cap is fixed at 256KiB). Default 256.
-	QueryChunkRows int
 	// ShardID is this server's shard number in a sharded deployment, served
 	// by the MsgShardMap frame so routers can verify an address actually
 	// hosts the shard their map claims. Meaningful only with a non-zero
@@ -151,36 +146,7 @@ type Config struct {
 }
 
 // StatsSnapshot is the server-level counter set served by the Stats frame.
-type StatsSnapshot struct {
-	Conns         uint32 // current connections
-	OpenTxns      uint32 // transactions currently holding a slot
-	Commits       uint64 // positively acknowledged commits
-	Aborts        uint64 // aborts, including conflict-failed commits
-	GroupBatches  uint64 // group-commit wakeups
-	GroupCommits  uint64 // commits acknowledged by those wakeups
-	DurableOffset uint64 // engine durability horizon (0 if unavailable)
-
-	// Replication (primary side: shipping; replica side these stay 0 and
-	// the replica's own progress is reported by its process).
-	ReplSubscribers   uint32 // live replication subscriptions
-	ReplBatches       uint64 // batches shipped across all subscribers
-	ReplShippedOffset uint64 // highest offset shipped to any subscriber
-	ReplAckedOffset   uint64 // highest watermark acknowledged by any subscriber
-
-	// Checkpoints counts checkpoint frames served successfully.
-	Checkpoints uint64
-
-	// Analytical query counters.
-	ActiveQueries    uint32 // queries currently holding a snapshot + slot
-	Queries          uint64 // queries opened since start
-	QueryRows        uint64 // result rows streamed to clients
-	QueriesCancelled uint64 // queries ended other than by stream completion
-
-	// Sharding / two-phase-commit counters.
-	PreparedTxns  uint32 // transactions currently parked in the prepared state
-	ShardPrepares uint64 // prepare requests acknowledged
-	ShardDecides  uint64 // decide requests applied (commit or abort)
-}
+type StatsSnapshot = proto.ServerStats
 
 // Server serves one engine over TCP.
 type Server struct {
@@ -261,9 +227,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 64
 	}
-	if cfg.ScanPageSize <= 0 {
-		cfg.ScanPageSize = 1024
-	}
 	if cfg.WriteTimeout <= 0 {
 		cfg.WriteTimeout = 30 * time.Second
 	}
@@ -272,9 +235,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.QueryMaxRows <= 0 {
 		cfg.QueryMaxRows = query.DefaultMaxRows
-	}
-	if cfg.QueryChunkRows <= 0 {
-		cfg.QueryChunkRows = 256
 	}
 	if cfg.SyncRepl && cfg.Durability != DurabilityGroup {
 		return nil, errors.New("server: SyncRepl requires DurabilityGroup (the group committer is where replication acks are awaited)")

@@ -19,6 +19,10 @@ import (
 // per-connection backpressure.
 const pipelineWindow = 64
 
+// scanPageSize caps key/value pairs in one Scan response page; clients page
+// transparently.
+const scanPageSize = 1024
+
 // openTxn is one live transaction owned by a session.
 type openTxn struct {
 	txn      engine.Txn
@@ -445,8 +449,8 @@ func (s *session) handleScan(req request, d *proto.Dec) {
 		s.respond(req.typ, req.id, respPayload(proto.StatusUnknownTable, "", nil))
 		return
 	}
-	if limit == 0 || limit > uint32(s.srv.cfg.ScanPageSize) {
-		limit = uint32(s.srv.cfg.ScanPageSize)
+	if limit == 0 || limit > scanPageSize {
+		limit = scanPageSize
 	}
 	var hiArg []byte
 	if hasHi != 0 {
@@ -598,29 +602,7 @@ func (s *session) handleHealth(req request) {
 
 func (s *session) handleStats(req request) {
 	st := s.srv.Stats()
-	body := proto.AppendU32(nil, st.Conns)
-	body = proto.AppendU32(body, st.OpenTxns)
-	body = proto.AppendU64(body, st.Commits)
-	body = proto.AppendU64(body, st.Aborts)
-	body = proto.AppendU64(body, st.GroupBatches)
-	body = proto.AppendU64(body, st.GroupCommits)
-	body = proto.AppendU64(body, st.DurableOffset)
-	body = proto.AppendU32(body, st.ReplSubscribers)
-	body = proto.AppendU64(body, st.ReplBatches)
-	body = proto.AppendU64(body, st.ReplShippedOffset)
-	body = proto.AppendU64(body, st.ReplAckedOffset)
-	body = proto.AppendU64(body, st.Checkpoints)
-	// Query counters append at the end so older decoders still parse the
-	// prefix they know about.
-	body = proto.AppendU32(body, st.ActiveQueries)
-	body = proto.AppendU64(body, st.Queries)
-	body = proto.AppendU64(body, st.QueryRows)
-	body = proto.AppendU64(body, st.QueriesCancelled)
-	// Sharding counters append after the query block, same reasoning.
-	body = proto.AppendU32(body, st.PreparedTxns)
-	body = proto.AppendU64(body, st.ShardPrepares)
-	body = proto.AppendU64(body, st.ShardDecides)
-	s.respond(req.typ, req.id, respPayload(proto.StatusOK, "", body))
+	s.respond(req.typ, req.id, respPayload(proto.StatusOK, "", proto.AppendServerStats(nil, &st)))
 }
 
 func (s *session) handleReattach(req request) {

@@ -68,9 +68,6 @@ func (t *Txn) checkWritable() error {
 // SyncLog forces the value log to disk — the epoch ticker's group-commit
 // action on demand (tests and benchmarks run with long epochs).
 func (db *DB) SyncLog() error {
-	if db.logFile == nil {
-		return nil
-	}
 	db.logMu.Lock()
 	defer db.logMu.Unlock()
 	if db.health.Load() != int32(engine.Healthy) {
@@ -123,9 +120,7 @@ func (db *DB) Reattach(st wal.Storage) (ReattachReport, error) {
 		return rep, fmt.Errorf("silo: reattach sync: %w", err)
 	}
 	if st != nil {
-		if db.logFile != nil {
-			db.logFile.Close()
-		}
+		db.logFile.Close()
 		db.logFile = file
 		db.cfg.Storage = st
 	}

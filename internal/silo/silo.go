@@ -84,8 +84,6 @@ type Config struct {
 	// Storage receives the asynchronous per-epoch log writes; nil keeps
 	// the log in memory.
 	Storage wal.Storage
-	// NoLogging disables the value log entirely (for ablations).
-	NoLogging bool
 }
 
 // Table is a Silo table: an index from keys to records.
@@ -158,17 +156,15 @@ func Open(cfg Config) (*DB, error) {
 	}
 	db := &DB{cfg: cfg, tables: make(map[string]*Table)}
 	db.epoch.Store(2) // read-only snapshots read epoch-1; start past zero
-	if !cfg.NoLogging {
-		st := cfg.Storage
-		if st == nil {
-			st = wal.NewMemStorage()
-		}
-		f, err := st.Create(logName)
-		if err != nil {
-			return nil, err
-		}
-		db.logFile = f
+	st := cfg.Storage
+	if st == nil {
+		st = wal.NewMemStorage()
 	}
+	f, err := st.Create(logName)
+	if err != nil {
+		return nil, err
+	}
+	db.logFile = f
 	db.stop = make(chan struct{})
 	db.done = make(chan struct{})
 	go db.ticker()
@@ -264,7 +260,7 @@ func (db *DB) newRecord() *Record {
 // entry: its bytes and assigned offset join the pending list for Reattach
 // to rewrite, and the DB degrades to read-only (health.go).
 func (db *DB) appendLog(buf []byte) {
-	if db.logFile == nil || len(buf) == 0 {
+	if len(buf) == 0 {
 		return
 	}
 	db.logMu.Lock()

@@ -380,11 +380,9 @@ func (t *Txn) Commit() error {
 		}
 		rec.word.Store(makeWord(commitTID, w.absent)) // releases the lock
 	}
-	if !t.db.cfg.NoLogging {
-		logBuf := encodeEntry(ws.logBuf[:0], commitTID, t.writes)
-		t.db.appendLog(logBuf)
-		ws.logBuf = logBuf[:0]
-	}
+	logBuf := encodeEntry(ws.logBuf[:0], commitTID, t.writes)
+	t.db.appendLog(logBuf)
+	ws.logBuf = logBuf[:0]
 	t.finish(true)
 	return nil
 }

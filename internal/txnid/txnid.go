@@ -172,7 +172,9 @@ func (m *Manager) Inquire(t TID) (status Status, cstamp uint64, ok bool) {
 	status = Status(e.status.Load())
 	cstamp = e.cstamp.Load()
 	// The slot may have been recycled between the loads; verify ownership.
-	if e.tid.Load() != uint64(t) {
+	// Release stores StatusFree before it clears tid, so a Free status read
+	// while tid still matches means the owner has already let go.
+	if status == StatusFree || e.tid.Load() != uint64(t) {
 		return StatusFree, 0, false
 	}
 	return status, cstamp, true
